@@ -140,7 +140,6 @@ impl SimPolicy for RackSim {
             Event::SliceExpired { .. } => {
                 unreachable!("rack engines are non-preemptive")
             }
-            Event::Timer(_) => {}
         }
     }
 }

@@ -1,18 +1,37 @@
 //! The discrete-event simulation engine.
 //!
-//! The engine owns simulated time, the event heap, the request slab, the
-//! worker states, and the metrics recorder. Scheduling policies implement
-//! [`SimPolicy`] and react to four events: a request *arrival*, a worker
-//! *completion*, a *slice expiry* (preemptive policies only), and policy
-//! *timers*. Policies place work through [`Core::run`] (non-preemptive,
-//! run to completion) or [`Core::run_slice`] (bounded slice plus optional
-//! preemption overhead, for time-sharing policies).
+//! The engine owns simulated time, the event calendar, the request slab,
+//! the worker states, and the metrics recorder. Scheduling policies
+//! implement [`SimPolicy`] and react to three events: a request
+//! *arrival*, a worker *completion*, and a *slice expiry* (preemptive
+//! policies only). Policies place work through [`Core::run`]
+//! (non-preemptive, run to completion) or [`Core::run_slice`] (bounded
+//! slice plus optional preemption overhead, for time-sharing policies).
+//!
+//! # The slot calendar
+//!
+//! Every event has one source, and no source ever has two events
+//! outstanding: each worker has at most one pending slice end (a busy
+//! worker cannot start another slice), and the arrival stream has at
+//! most one pending arrival (the next one is drawn only when the current
+//! one fires). So instead of a priority queue the calendar keeps one
+//! fixed slot per source, keyed by `(time, seq)`, where `seq` counts
+//! every schedule call. Events fire in exactly that order — time first,
+//! then scheduling order — so simultaneous events keep the order in
+//! which they were scheduled.
+//!
+//! The calendar caches which worker slot is earliest. Scheduling a slice
+//! updates the cache in O(1); only firing the earliest slice invalidates
+//! it, and the next firing rescans the worker slots once: one short,
+//! branch-free scan per completion, and none per arrival.
+//!
+//! Policies have no timers: none needed one, and a timer source would
+//! break the one-event-per-source bound the calendar rests on.
 //!
 //! The paper's own Figures 1 and 10 come from exactly this kind of
 //! simulation; we extend it to every evaluation figure.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::hint::select_unpredictable;
 
 use persephone_core::time::Nanos;
 use persephone_core::types::TypeId;
@@ -45,13 +64,6 @@ struct Running {
     completes: bool,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum EvKind {
-    Arrival,
-    SliceEnd { worker: u32 },
-    Timer { tag: u64 },
-}
-
 /// Events a policy receives.
 #[derive(Clone, Copy, Debug)]
 pub enum Event {
@@ -77,8 +89,6 @@ pub enum Event {
         /// The preempted request.
         req: ReqId,
     },
-    /// A timer scheduled via [`Core::timer`] fired.
-    Timer(u64),
 }
 
 /// A scheduling policy under simulation.
@@ -120,14 +130,122 @@ impl SimConfig {
     }
 }
 
+/// Sequence number of an empty slot: sorts after every scheduled event,
+/// whose numbers count up from 1.
+const EMPTY: u64 = u64::MAX;
+
+/// The next event to fire.
+#[derive(Clone, Copy, Debug)]
+enum Fired {
+    Arrival,
+    SliceEnd(usize),
+}
+
+/// Pending events, one slot per source, fired in `(time, seq)` order
+/// (see the module docs). An empty slot holds `(u64::MAX, EMPTY)`.
+struct Calendar {
+    /// Each worker's pending slice end time (ns).
+    ends: Vec<u64>,
+    /// Each worker's pending slice end sequence number.
+    seqs: Vec<u64>,
+    /// The pending arrival's `(time, seq)`.
+    arrival: (u64, u64),
+    /// Index of the earliest worker slot, unless `stale`.
+    earliest: usize,
+    stale: bool,
+    seq: u64,
+}
+
+impl Calendar {
+    fn new(workers: usize) -> Self {
+        assert!(workers > 0, "a simulation needs at least one worker");
+        Calendar {
+            ends: vec![u64::MAX; workers],
+            seqs: vec![EMPTY; workers],
+            arrival: (u64::MAX, EMPTY),
+            earliest: 0,
+            stale: false,
+            seq: 0,
+        }
+    }
+
+    fn next_seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq
+    }
+
+    fn schedule_arrival(&mut self, at: Nanos) {
+        self.arrival = (at.as_nanos(), self.next_seq());
+    }
+
+    fn schedule_slice_end(&mut self, worker: usize, at: Nanos) {
+        debug_assert_eq!(self.seqs[worker], EMPTY, "two slices on one worker");
+        let at = at.as_nanos();
+        self.ends[worker] = at;
+        self.seqs[worker] = self.next_seq();
+        // The new event is the latest scheduled, so it goes first only if
+        // it is strictly earlier in time.
+        if !self.stale && at < self.ends[self.earliest] {
+            self.earliest = worker;
+        }
+    }
+
+    /// Removes and returns the earliest event, or `None` when every slot
+    /// is empty.
+    fn pop(&mut self) -> Option<(Nanos, Fired)> {
+        if self.stale {
+            self.rescan();
+        }
+        let w = self.earliest;
+        let slice = (self.ends[w], self.seqs[w]);
+        let (at, fired) = if self.arrival < slice {
+            let at = self.arrival.0;
+            self.arrival = (u64::MAX, EMPTY);
+            (at, Fired::Arrival)
+        } else if slice.1 != EMPTY {
+            self.ends[w] = u64::MAX;
+            self.seqs[w] = EMPTY;
+            self.stale = true;
+            (slice.0, Fired::SliceEnd(w))
+        } else {
+            return None;
+        };
+        Some((Nanos::from_nanos(at), fired))
+    }
+
+    /// Finds the earliest worker slot: a branch-free scan of the end
+    /// times in two interleaved chains (halving the scan's dependency
+    /// chain), then, only when another slot ends at the same time, the
+    /// lowest sequence number among them.
+    fn rescan(&mut self) {
+        let ends = &self.ends;
+        let mut chain = [(0, ends[0]); 2];
+        for (w, &end) in ends.iter().enumerate().skip(1) {
+            let (earliest, best) = &mut chain[w & 1];
+            let earlier = end < *best;
+            *best = select_unpredictable(earlier, end, *best);
+            *earliest = select_unpredictable(earlier, w, *earliest);
+        }
+        let [even, odd] = chain;
+        let (mut earliest, best) = if odd.1 < even.1 { odd } else { even };
+        if ends.iter().filter(|&&end| end == best).count() > 1 {
+            earliest = (0..ends.len())
+                .filter(|&w| ends[w] == best)
+                .min_by_key(|&w| self.seqs[w])
+                .expect("the scan's own slot matches");
+        }
+        self.earliest = earliest;
+        self.stale = false;
+    }
+}
+
 /// The simulation core handed to policies.
 pub struct Core {
     /// Current simulated time.
     pub now: Nanos,
     slab: Vec<Req>,
     free: Vec<ReqId>,
-    heap: BinaryHeap<Reverse<(Nanos, u64, EvKind)>>,
-    seq: u64,
+    calendar: Calendar,
     running: Vec<Option<Running>>,
     busy_ns: Vec<u64>,
     overhead_ns: Vec<u64>,
@@ -139,11 +257,6 @@ pub struct Core {
 }
 
 impl Core {
-    fn push_ev(&mut self, at: Nanos, kind: EvKind) {
-        self.seq += 1;
-        self.heap.push(Reverse((at, self.seq, kind)));
-    }
-
     /// Number of workers.
     pub fn num_workers(&self) -> usize {
         self.running.len()
@@ -257,17 +370,7 @@ impl Core {
         self.busy_ns[worker] += progress.as_nanos();
         self.overhead_ns[worker] += overhead.as_nanos();
         let end = self.now + progress + overhead;
-        self.push_ev(
-            end,
-            EvKind::SliceEnd {
-                worker: worker as u32,
-            },
-        );
-    }
-
-    /// Schedules a policy timer at absolute time `at`.
-    pub fn timer(&mut self, at: Nanos, tag: u64) {
-        self.push_ev(at.max(self.now), EvKind::Timer { tag });
+        self.calendar.schedule_slice_end(worker, end);
     }
 
     /// Drops a request (flow control): records the drop and frees the slot.
@@ -373,7 +476,8 @@ impl SimOutput {
 /// # Panics
 ///
 /// Panics if the policy strands requests (queues non-empty with the event
-/// heap exhausted) — that is a policy bug, not an overload condition.
+/// calendar empty) — that is a policy bug, not an overload condition —
+/// or if `cfg.workers` is zero.
 pub fn simulate<I>(
     policy: &mut dyn SimPolicy,
     gen: I,
@@ -391,8 +495,7 @@ where
         now: Nanos::ZERO,
         slab: Vec::with_capacity(1024),
         free: Vec::new(),
-        heap: BinaryHeap::new(),
-        seq: 0,
+        calendar: Calendar::new(cfg.workers),
         running: vec![None; cfg.workers],
         busy_ns: vec![0; cfg.workers],
         overhead_ns: vec![0; cfg.workers],
@@ -406,25 +509,24 @@ where
     // Prime the first arrival.
     let mut pending = gen.next();
     if let Some(a) = pending {
-        core.push_ev(a.at, EvKind::Arrival);
+        core.calendar.schedule_arrival(a.at);
     }
 
-    while let Some(Reverse((at, _, kind))) = core.heap.pop() {
+    while let Some((at, fired)) = core.calendar.pop() {
         core.now = at;
-        match kind {
-            EvKind::Arrival => {
+        match fired {
+            Fired::Arrival => {
                 let a = pending.take().expect("arrival event without data");
                 let id = core.alloc(a.ty, a.at, a.service);
                 // Schedule the next arrival before the policy runs so the
-                // heap never starves while work remains.
+                // calendar never empties while work remains.
                 pending = gen.next();
                 if let Some(n) = pending {
-                    core.push_ev(n.at, EvKind::Arrival);
+                    core.calendar.schedule_arrival(n.at);
                 }
                 policy.handle(Event::Arrival(id), &mut core);
             }
-            EvKind::SliceEnd { worker } => {
-                let w = worker as usize;
+            Fired::SliceEnd(w) => {
                 let run = core.running[w].take().expect("slice end on idle worker");
                 if run.completes {
                     let r = &core.slab[run.req as usize];
@@ -448,9 +550,6 @@ where
                         &mut core,
                     );
                 }
-            }
-            EvKind::Timer { tag } => {
-                policy.handle(Event::Timer(tag), &mut core);
             }
         }
     }
@@ -504,7 +603,7 @@ mod tests {
                         core.run(worker, next);
                     }
                 }
-                _ => unreachable!("mini-fcfs uses no slices or timers"),
+                Event::SliceExpired { .. } => unreachable!("mini-fcfs uses no slices"),
             }
         }
     }
@@ -571,12 +670,8 @@ mod tests {
                     Event::Arrival(id) => {
                         self.queue.push_back(id);
                     }
-                    Event::Completed { .. } | Event::SliceExpired { .. } => {
-                        if let Event::SliceExpired { req, .. } = ev {
-                            self.queue.push_back(req);
-                        }
-                    }
-                    Event::Timer(_) => {}
+                    Event::Completed { .. } => {}
+                    Event::SliceExpired { req, .. } => self.queue.push_back(req),
                 }
                 while let (Some(w), false) = (core.idle_worker(), self.queue.is_empty()) {
                     let id = self.queue.pop_front().unwrap();

@@ -23,6 +23,24 @@ use persephone_telemetry::hist::{LogHist, DEFAULT_PRECISION_BITS};
 /// Fixed-point scale for slowdowns stored in a [`LogHist`].
 const SLOWDOWN_SCALE: f64 = 1_000.0;
 
+/// Slowdown ×[`SLOWDOWN_SCALE`] of a request that spent `sojourn_ns` at
+/// the server for `service_ns` (≥ 1) of service, saturating at
+/// `u64::MAX`. The product fits 64 bits for any sojourn under
+/// `u64::MAX / 1000` ns (≈ 213 simulated days), so the 128-bit division
+/// runs only past that.
+fn slowdown_millis(sojourn_ns: u64, service_ns: u64) -> u64 {
+    match sojourn_ns.checked_mul(SLOWDOWN_SCALE as u64) {
+        Some(scaled) => scaled / service_ns,
+        None => slowdown_millis_wide(sojourn_ns, service_ns),
+    }
+}
+
+/// The exact 128-bit form of [`slowdown_millis`].
+fn slowdown_millis_wide(sojourn_ns: u64, service_ns: u64) -> u64 {
+    (u128::from(sojourn_ns) * SLOWDOWN_SCALE as u128 / u128::from(service_ns))
+        .min(u128::from(u64::MAX)) as u64
+}
+
 /// Per-type histogram pair.
 #[derive(Clone, Debug)]
 struct TypeRec {
@@ -78,8 +96,7 @@ impl Recorder {
         let soj = sojourn.as_nanos();
         let svc = service.as_nanos().max(1);
         rec.sojourn_ns.record(soj);
-        let millis = (soj as u128 * SLOWDOWN_SCALE as u128 / svc as u128).min(u64::MAX as u128);
-        rec.slowdown_millis.record((millis as u64).max(1));
+        rec.slowdown_millis.record(slowdown_millis(soj, svc).max(1));
     }
 
     /// Records a dropped (flow-controlled) request.
@@ -400,6 +417,51 @@ mod tests {
         r.complete(TypeId::new(0), n(1), n(4), Nanos::ZERO);
         let s = r.summarize(Nanos::ZERO);
         assert!(s.per_type[0].slowdown.p50.is_finite());
+    }
+
+    #[test]
+    fn slowdown_fast_path_matches_the_wide_division() {
+        let edge = u64::MAX / 1000;
+        let sojourns = [
+            0,
+            1,
+            999,
+            1_000,
+            12_345_678,
+            edge - 1,
+            edge,
+            edge + 1,
+            u64::MAX,
+        ];
+        for soj in sojourns {
+            for svc in [1, 2, 3, 500, 100_000, edge, u64::MAX] {
+                assert_eq!(
+                    slowdown_millis(soj, svc),
+                    slowdown_millis_wide(soj, svc),
+                    "sojourn {soj} ns, service {svc} ns"
+                );
+            }
+        }
+        // A 1 ns service on either side of the overflow edge: the fast
+        // path's result, and the saturated wide one.
+        assert_eq!(slowdown_millis(edge, 1), edge * 1000);
+        assert_eq!(slowdown_millis(edge + 1, 1), u64::MAX);
+        // Both sides land in the same slowdown bucket once recorded.
+        for soj in [edge, edge + 1] {
+            let mut r = Recorder::new(1, Nanos::ZERO);
+            r.complete(
+                TypeId::new(0),
+                n(1),
+                Nanos::from_nanos(soj),
+                Nanos::from_nanos(1),
+            );
+            let mut h = LogHist::new(DEFAULT_PRECISION_BITS);
+            h.record(slowdown_millis_wide(soj, 1));
+            let got = &r.types[0].slowdown_millis;
+            assert_eq!(got.count(), 1);
+            assert_eq!(got.quantile(0.5), h.quantile(0.5), "sojourn {soj} ns");
+            assert_eq!(got.max(), h.max(), "sojourn {soj} ns");
+        }
     }
 
     #[test]

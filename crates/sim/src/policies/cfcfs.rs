@@ -113,8 +113,8 @@ mod tests {
     fn mm_c_sanity_against_erlang_c() {
         // M/M/8 at ρ = 0.7 with exponential 10 µs service: mean wait from
         // Erlang C ≈ P_wait/(c·µ−λ). Check the simulated mean sojourn.
-        use crate::dist::Dist;
         use crate::workload::TypeMix;
+        use persephone_core::dist::Dist;
         let wl = Workload::new(
             "mm8",
             vec![TypeMix::new(

@@ -104,8 +104,8 @@ impl SimPolicy for Cscq {
             Event::Completed { .. } => {
                 self.dispatch_all(core);
             }
-            Event::SliceExpired { .. } | Event::Timer(_) => {
-                unreachable!("CSCQ never slices or sets timers")
+            Event::SliceExpired { .. } => {
+                unreachable!("CSCQ never slices")
             }
         }
     }

@@ -10,11 +10,11 @@
 
 use persephone_core::dispatch::{DarcEngine, EngineConfig, EngineMode};
 use persephone_core::reserve::Reservation;
+use persephone_core::rng::Rng;
 use persephone_core::time::Nanos;
 use persephone_core::types::{TypeId, WorkerId};
 
 use crate::engine::{Core, Event, ReqId, SimPolicy};
-use crate::rng::Rng;
 use crate::workload::Workload;
 
 /// How arrivals are classified before entering the typed queues.
@@ -213,7 +213,7 @@ impl SimPolicy for DarcSim {
                 }
                 self.drain(core);
             }
-            Event::SliceExpired { .. } | Event::Timer(_) => {
+            Event::SliceExpired { .. } => {
                 unreachable!("DARC is non-preemptive")
             }
         }

@@ -121,8 +121,8 @@ impl SimPolicy for Drr {
                     core.run(worker, next);
                 }
             }
-            Event::SliceExpired { .. } | Event::Timer(_) => {
-                unreachable!("DRR never slices or sets timers")
+            Event::SliceExpired { .. } => {
+                unreachable!("DRR never slices")
             }
         }
     }

@@ -86,8 +86,8 @@ impl SimPolicy for Edf {
                     core.run(worker, next);
                 }
             }
-            Event::SliceExpired { .. } | Event::Timer(_) => {
-                unreachable!("EDF never slices or sets timers")
+            Event::SliceExpired { .. } => {
+                unreachable!("EDF never slices")
             }
         }
     }

@@ -63,7 +63,7 @@ impl<E: ScheduleEngine<ReqId>> EngineAdapter<E> {
         }
     }
 
-    /// Routes a simulation event through the engine. Slice/timer events
+    /// Routes a simulation event through the engine. Slice events
     /// are unreachable: every adapted engine is non-preemptive.
     pub(crate) fn handle(&mut self, ev: Event, core: &mut Core) {
         match ev {
@@ -81,7 +81,7 @@ impl<E: ScheduleEngine<ReqId>> EngineAdapter<E> {
                     .complete(WorkerId::new(worker as u32), service, core.now);
                 self.drain(core);
             }
-            Event::SliceExpired { .. } | Event::Timer(_) => {
+            Event::SliceExpired { .. } => {
                 unreachable!("core scheduling engines are non-preemptive")
             }
         }

@@ -176,7 +176,6 @@ impl SimPolicy for TimeSharing {
                     self.run(worker, req, Nanos::ZERO, core);
                 }
             }
-            Event::Timer(_) => unreachable!("TS uses slices, not timers"),
         }
     }
 }

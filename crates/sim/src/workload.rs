@@ -10,11 +10,10 @@
 //! Arrivals follow an open-loop Poisson process, "modeling the behavior of
 //! bursty production traffic" (paper §5.1).
 
+use persephone_core::dist::Dist;
+use persephone_core::rng::Rng;
 use persephone_core::time::Nanos;
 use persephone_core::types::TypeId;
-
-use crate::dist::Dist;
-use crate::rng::Rng;
 
 /// One request type inside a workload mix.
 #[derive(Clone, Debug, PartialEq)]
@@ -280,9 +279,13 @@ impl BurstModel {
 /// An open-loop Poisson arrival sampler over a (possibly phased) workload.
 #[derive(Clone, Debug)]
 pub struct ArrivalGen {
-    phases: Vec<Phase>,
     /// Precomputed mean interarrival (ns) per phase.
     interarrival_ns: Vec<f64>,
+    /// Type weights (the mix ratios) per phase, built once so drawing an
+    /// arrival allocates nothing.
+    weights: Vec<Vec<f64>>,
+    /// Service-time distribution per phase and type.
+    services: Vec<Vec<Dist>>,
     /// Phase end times (absolute).
     phase_ends: Vec<Nanos>,
     current: usize,
@@ -345,9 +348,16 @@ impl ArrivalGen {
             let rate = p.workload.peak_rate(workers) * p.load; // req/s
             inter.push(1e9 / rate);
         }
+        fn per_type<T>(pw: &PhasedWorkload, f: impl Fn(&TypeMix) -> T + Copy) -> Vec<Vec<T>> {
+            pw.phases
+                .iter()
+                .map(|p| p.workload.types.iter().map(f).collect())
+                .collect()
+        }
         let mut gen = ArrivalGen {
-            phases: pw.phases.clone(),
             interarrival_ns: inter,
+            weights: per_type(pw, |t| t.ratio),
+            services: per_type(pw, |t| t.service),
             phase_ends: ends,
             current: 0,
             rng_arrival: root.fork(),
@@ -393,9 +403,12 @@ impl ArrivalGen {
         self
     }
 
-    /// Current rate multiplier under the burst model (1.0 when disabled).
-    fn rate_multiplier(&mut self, now: Nanos) -> f64 {
-        let Some(model) = self.burst else { return 1.0 };
+    /// Mean gap (ns) to the arrival after one at `now`: the phase's mean
+    /// interarrival, divided by the burst model's current rate multiplier
+    /// when bursts are enabled.
+    fn mean_gap(&mut self, now: Nanos) -> f64 {
+        let mean = self.interarrival_ns[self.current];
+        let Some(model) = self.burst else { return mean };
         while now >= self.state_until {
             self.bursting = !self.bursting;
             let dwell = if self.bursting {
@@ -409,9 +422,9 @@ impl ArrivalGen {
                 .saturating_add(Nanos::from_nanos(d.max(1.0) as u64));
         }
         if self.bursting {
-            model.amplification
+            mean / model.amplification
         } else {
-            model.calm_multiplier()
+            mean / model.calm_multiplier()
         }
     }
 
@@ -420,24 +433,18 @@ impl ArrivalGen {
     pub fn next(&mut self) -> Option<Arrival> {
         // Advance phases until the pending arrival time falls inside one.
         while self.next_at >= self.phase_ends[self.current] {
-            if self.current + 1 >= self.phases.len() {
+            if self.current + 1 >= self.phase_ends.len() {
                 return None;
             }
             self.current += 1;
         }
-        let phase = &self.phases[self.current];
         let at = self.next_at;
         // Sample a type with positive ratio (ratios may be 0 in a phase).
-        let weights: Vec<f64> = phase.workload.types.iter().map(|t| t.ratio).collect();
-        let ti = self.rng_type.pick_weighted(&weights);
-        let service = phase.workload.types[ti]
-            .service
-            .sample(&mut self.rng_service);
+        let ti = self.rng_type.pick_weighted(&self.weights[self.current]);
+        let service = self.services[self.current][ti].sample(&mut self.rng_service);
         // Schedule the next arrival (burst modulation scales the rate).
-        let mult = self.rate_multiplier(at);
-        let gap = self
-            .rng_arrival
-            .next_exp(self.interarrival_ns[self.current] / mult);
+        let mean = self.mean_gap(at);
+        let gap = self.rng_arrival.next_exp(mean);
         self.next_at = at.saturating_add(Nanos::from_nanos(gap.max(1.0) as u64));
         Some(Arrival {
             at,

@@ -9,9 +9,9 @@ use persephone::core::dispatch::{DarcEngine, EngineConfig};
 use persephone::core::profile::{demands_of, TypeStat};
 use persephone::core::queue::TypedQueue;
 use persephone::core::reserve::{reserve, ReserveConfig};
+use persephone::core::rng::Rng;
 use persephone::core::time::Nanos;
 use persephone::core::types::TypeId;
-use persephone::sim::rng::Rng;
 
 #[cfg(feature = "heavy-testing")]
 const CASES: u64 = 256;
