@@ -534,11 +534,13 @@ impl<R> DarcEngine<R> {
                 // demand deviates from the *current allocation* — either
                 // the demand vector moved, or rounding the live demand
                 // would grant different core counts than installed.
-                if self.profiler.window_full()
-                    && self.profiler.delay_signalled()
-                    && (self.profiler.demand_deviated() || self.allocation_stale())
-                {
-                    self.commit_and_install(now);
+                if self.profiler.window_full() && self.profiler.delay_signalled() {
+                    let deviated = self
+                        .profiler
+                        .demands_deviation_into(&mut self.demand_scratch);
+                    if deviated || self.allocation_stale() {
+                        self.commit_and_install(now);
+                    }
                 }
             }
             Phase::Frozen => {}
@@ -548,8 +550,8 @@ impl<R> DarcEngine<R> {
     /// Whether recomputing Algorithm 2 on the live window would grant any
     /// group a different number of reserved cores than it currently holds,
     /// or an ungrouped (previously vanished) type now carries real demand.
-    fn allocation_stale(&mut self) -> bool {
-        self.profiler.demands_into(&mut self.demand_scratch);
+    /// Reads the live demand vector `maybe_update` left in `demand_scratch`.
+    fn allocation_stale(&self) -> bool {
         let demands = &self.demand_scratch;
         let w = self.workers.len() as f64;
         for g in &self.reservation.groups {

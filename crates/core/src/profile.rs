@@ -341,7 +341,6 @@ impl Profiler {
         let n = self.types.len();
         let total: f64 = (0..n).map(|i| self.live_weight_at(i)).sum();
         if total <= 0.0 {
-            // audit:allow(A2): fills a pre-warmed scratch; grows only on first use
             out.resize(n, 0.0);
             return;
         }
@@ -377,6 +376,30 @@ impl Profiler {
             let snap = self.snapshot_demand.get(i).copied().unwrap_or(0.0);
             (d - snap).abs() > self.cfg.demand_deviation
         })
+    }
+
+    /// [`Profiler::demands_into`] and [`Profiler::demand_deviated`] from
+    /// one pass over the live weights: writes the demand vector into `out`
+    /// and returns whether it deviates from the snapshot. Both results are
+    /// bit-identical to the two separate calls, including when the weight
+    /// total is zero, negative or not a number. This is the reservation
+    /// trigger's per-completion check; allocation-free once `out`'s
+    /// capacity covers the type set.
+    pub fn demands_deviation_into(&self, out: &mut Vec<f64>) -> bool {
+        out.clear();
+        out.extend((0..self.types.len()).map(|i| self.live_weight_at(i)));
+        let total: f64 = out.iter().sum();
+        let mut deviated = false;
+        for (i, d) in out.iter_mut().enumerate() {
+            // `demands_into` zeroes the vector unless `total > 0` might
+            // hold; `demand_deviated` compares zeros unless it does hold.
+            // The two differ only when `total` is NaN.
+            *d = if total <= 0.0 { 0.0 } else { *d / total };
+            let live = if total > 0.0 { *d } else { 0.0 };
+            let snap = self.snapshot_demand.get(i).copied().unwrap_or(0.0);
+            deviated |= (live - snap).abs() > self.cfg.demand_deviation;
+        }
+        deviated
     }
 
     /// Commits the current window: folds window means into the cross-window
@@ -639,5 +662,73 @@ mod tests {
     #[should_panic(expected = "one hint slot per type")]
     fn hint_arity_checked() {
         let _ = Profiler::new(cfg(1), 2, &[None]);
+    }
+
+    /// The fused reservation check against the two predicates it replaces,
+    /// over seeded random profiler states: empty and hinted type sets,
+    /// out-of-range and UNKNOWN records, saturating service sums, and
+    /// configs whose EWMA weight is NaN (which makes the weight total NaN).
+    #[test]
+    fn fused_check_matches_demand_deviated_and_demands_into() {
+        use crate::rng::Rng;
+        let mut rng = Rng::new(0x5eed_da7c);
+        let (mut zero_total, mut nan_total, mut deviated, mut steady) = (0, 0, 0, 0);
+        let mut scratch = Vec::new();
+        for _ in 0..400 {
+            let n = rng.next_below(6) as usize;
+            let pick = |rng: &mut Rng, choices: &[f64]| {
+                choices[rng.next_below(choices.len() as u64) as usize]
+            };
+            let cfg = ProfilerConfig {
+                min_samples: 1 + rng.next_below(20),
+                demand_deviation: pick(&mut rng, &[0.0, 0.05, 0.1, 0.3, -0.1, f64::NAN]),
+                slowdown_slo: 10.0,
+                ewma_weight: pick(&mut rng, &[0.5, 1.0, 0.0, 1.7, -0.4, f64::NAN]),
+            };
+            let hints: Vec<Option<Nanos>> = (0..n)
+                .map(|_| {
+                    (rng.next_below(3) == 0).then(|| Nanos::from_nanos(rng.next_below(1_000_000)))
+                })
+                .collect();
+            let mut p = Profiler::new(cfg, n, &hints);
+            for _ in 0..rng.next_below(200) {
+                let ty = match rng.next_below(12) {
+                    0 => TypeId::UNKNOWN,
+                    _ => TypeId::new(rng.next_below(n as u64 + 1) as u32),
+                };
+                match rng.next_below(10) {
+                    0..=3 => p.record_arrival(ty),
+                    4..=7 => {
+                        let service = match rng.next_below(8) {
+                            0 => 0,
+                            1 => u64::MAX / 3,
+                            _ => rng.next_below(200_000),
+                        };
+                        p.record_completion(ty, Nanos::from_nanos(service));
+                    }
+                    _ => p.commit_window_quiet(),
+                }
+                let fused = p.demands_deviation_into(&mut scratch);
+                let demands = p.demands();
+                assert_eq!(fused, p.demand_deviated(), "deviation of {p:?}");
+                let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&scratch), bits(&demands), "demands of {p:?}");
+                if demands.iter().any(|d| d.is_nan()) {
+                    nan_total += 1;
+                } else if n > 0 && demands.iter().all(|&d| d == 0.0) {
+                    zero_total += 1;
+                }
+                if fused {
+                    deviated += 1;
+                } else {
+                    steady += 1;
+                }
+            }
+        }
+        // Every branch of the check was exercised.
+        assert!(
+            zero_total > 0 && nan_total > 0 && deviated > 0 && steady > 0,
+            "zero {zero_total}, NaN {nan_total}, deviated {deviated}, steady {steady}"
+        );
     }
 }

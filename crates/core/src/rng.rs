@@ -115,6 +115,17 @@ impl Rng {
     /// Panics if `weights` is empty or sums to a non-positive value.
     pub fn pick_weighted(&mut self, weights: &[f64]) -> usize {
         let total: f64 = weights.iter().sum();
+        self.pick_weighted_of(weights, total)
+    }
+
+    /// [`Rng::pick_weighted`] for a caller that keeps `total`, the sum
+    /// `weights.iter().sum()`, so repeated picks over one weight vector
+    /// need not re-add it. Draws exactly what `pick_weighted` draws.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` is empty or `total` is not positive.
+    pub fn pick_weighted_of(&mut self, weights: &[f64], total: f64) -> usize {
         assert!(
             !weights.is_empty() && total > 0.0,
             "pick_weighted needs positive weights"

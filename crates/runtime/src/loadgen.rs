@@ -321,8 +321,8 @@ pub struct ScheduledRequest {
     pub service_ns: u64,
 }
 
-/// Replays a pre-sampled schedule open-loop, then drains responses for up
-/// to `grace`.
+/// Replays a pre-sampled schedule open-loop, then drains responses until
+/// none is outstanding or none has arrived for `grace`.
 ///
 /// Where [`run_open_loop`] samples gaps and types on the fly, this replays
 /// a schedule the scenario engine materialized up front — the *same*
@@ -337,6 +337,11 @@ pub struct ScheduledRequest {
 /// slot). The same ledger balance as [`run_open_loop`] holds:
 /// `sent == received + dropped + rejected + timed_out`, with skipped
 /// sends in [`LoadReport::starved`].
+///
+/// The drain ends on progress, not on a fixed deadline: a server that is
+/// still answering (say, on a host with fewer cores than its busy
+/// threads) is waited for, and only `grace` of silence writes the
+/// remaining requests off as timed out.
 ///
 /// The returned report is already [`LoadReport::finalize`]d.
 pub fn run_scheduled(
@@ -396,9 +401,13 @@ pub fn run_scheduled(
         drain_responses(client, &mut inflight, &mut report, &mut releaser);
     }
 
-    let grace_deadline = Instant::now() + grace;
-    while Instant::now() < grace_deadline && inflight.live > 0 {
+    let mut last_progress = Instant::now();
+    while inflight.live > 0 && last_progress.elapsed() < grace {
+        let live = inflight.live;
         drain_responses(client, &mut inflight, &mut report, &mut releaser);
+        if inflight.live < live {
+            last_progress = Instant::now();
+        }
         std::thread::yield_now();
     }
     report.timed_out += inflight.live as u64;

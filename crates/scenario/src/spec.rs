@@ -182,7 +182,9 @@ pub struct ThreadedTuning {
     pub pool_buffers: usize,
     /// Packet buffer size, bytes.
     pub buf_size: usize,
-    /// Post-run drain grace, milliseconds.
+    /// Post-run drain grace, milliseconds: a single-server run stops
+    /// draining once no response has arrived for this long, a rack run
+    /// this long after its last send.
     pub grace_ms: u64,
     /// Per-request spin clamp, milliseconds (guards a corrupt payload).
     pub max_service_ms: f64,

@@ -281,9 +281,9 @@ impl BurstModel {
 pub struct ArrivalGen {
     /// Precomputed mean interarrival (ns) per phase.
     interarrival_ns: Vec<f64>,
-    /// Type weights (the mix ratios) per phase, built once so drawing an
-    /// arrival allocates nothing.
-    weights: Vec<Vec<f64>>,
+    /// Type weights (the mix ratios) per phase with their total, built
+    /// once so drawing an arrival allocates nothing and re-adds nothing.
+    weights: Vec<(Vec<f64>, f64)>,
     /// Service-time distribution per phase and type.
     services: Vec<Vec<Dist>>,
     /// Phase end times (absolute).
@@ -356,7 +356,16 @@ impl ArrivalGen {
         }
         let mut gen = ArrivalGen {
             interarrival_ns: inter,
-            weights: per_type(pw, |t| t.ratio),
+            weights: pw
+                .phases
+                .iter()
+                .map(|p| {
+                    let w: Vec<f64> = p.workload.types.iter().map(|t| t.ratio).collect();
+                    // The sum `pick_weighted` would compute on every draw.
+                    let total = w.iter().sum();
+                    (w, total)
+                })
+                .collect(),
             services: per_type(pw, |t| t.service),
             phase_ends: ends,
             current: 0,
@@ -440,7 +449,8 @@ impl ArrivalGen {
         }
         let at = self.next_at;
         // Sample a type with positive ratio (ratios may be 0 in a phase).
-        let ti = self.rng_type.pick_weighted(&self.weights[self.current]);
+        let (weights, total) = &self.weights[self.current];
+        let ti = self.rng_type.pick_weighted_of(weights, *total);
         let service = self.services[self.current][ti].sample(&mut self.rng_service);
         // Schedule the next arrival (burst modulation scales the rate).
         let mean = self.mean_gap(at);
